@@ -6,48 +6,46 @@
 //! way, WS-Messenger provides Web service interfaces to existing
 //! messaging systems."
 //!
-//! The broker pushes every normalized [`InternalEvent`] *into* the
-//! backend and drains delivered events back *out* before fan-out. With
-//! [`InMemoryBackend`] this is a queue hop; with [`JmsBackend`] events
-//! genuinely round-trip through the `wsm-jms` provider (serialized XML
-//! in a `TextMessage`, topic in a property), demonstrating the wrap.
+//! The broker relays every normalized [`InternalEvent`] through the
+//! backend and fans out what comes back. With [`InMemoryBackend`] the
+//! event comes straight back; with [`JmsBackend`] events genuinely
+//! round-trip through the `wsm-jms` provider (serialized XML in a
+//! `TextMessage`, topic in a property), demonstrating the wrap.
+//!
+//! A relay is one call so that each publisher fans out exactly the
+//! events its own publication produced: a separate publish and drain
+//! over a shared queue would let one publisher deliver another's event
+//! after that publisher had returned, so its next event could overtake
+//! it at a subscriber.
 
 use crate::event::InternalEvent;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use wsm_jms::{JmsMessage, JmsProvider};
 use wsm_xml::Element;
 
 /// The generic pub/sub interface the broker rides on.
 pub trait MessagingBackend: Send + Sync {
-    /// Accept one event for dissemination.
-    fn publish(&self, event: InternalEvent);
-    /// Drain the events the backend has delivered since the last call.
-    fn drain(&self) -> Vec<InternalEvent>;
+    /// Disseminate one event and return what the backend delivered
+    /// for it, in order.
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent>;
     /// Backend name (for stats/logging).
     fn name(&self) -> &'static str;
 }
 
-/// The default backend: an in-process queue.
+/// The default backend: delivers each event as published.
 #[derive(Default)]
-pub struct InMemoryBackend {
-    queue: Mutex<VecDeque<InternalEvent>>,
-}
+pub struct InMemoryBackend;
 
 impl InMemoryBackend {
     /// A fresh backend.
     pub fn new() -> Self {
-        InMemoryBackend::default()
+        InMemoryBackend
     }
 }
 
 impl MessagingBackend for InMemoryBackend {
-    fn publish(&self, event: InternalEvent) {
-        self.queue.lock().push_back(event);
-    }
-
-    fn drain(&self) -> Vec<InternalEvent> {
-        self.queue.lock().drain(..).collect()
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent> {
+        vec![event]
     }
 
     fn name(&self) -> &'static str {
@@ -60,6 +58,9 @@ pub struct JmsBackend {
     provider: JmsProvider,
     subscription: wsm_jms::TopicSubscription,
     topic: String,
+    /// Held from publish to receive, so a relay returns its own event
+    /// and never another caller's.
+    relaying: Mutex<()>,
 }
 
 impl JmsBackend {
@@ -70,6 +71,7 @@ impl JmsBackend {
             provider,
             subscription,
             topic: topic.to_string(),
+            relaying: Mutex::new(()),
         }
     }
 
@@ -117,11 +119,9 @@ impl JmsBackend {
 }
 
 impl MessagingBackend for JmsBackend {
-    fn publish(&self, event: InternalEvent) {
+    fn relay(&self, event: InternalEvent) -> Vec<InternalEvent> {
+        let _relaying = self.relaying.lock();
         self.provider.publish(&self.topic, Self::encode(&event));
-    }
-
-    fn drain(&self) -> Vec<InternalEvent> {
         let mut out = Vec::new();
         while let Some(m) = self.subscription.receive() {
             if let Some(ev) = Self::decode(&m) {
@@ -141,15 +141,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn in_memory_fifo() {
+    fn in_memory_relays_the_event_itself() {
         let b = InMemoryBackend::new();
-        b.publish(InternalEvent::raw(Element::local("a")));
-        b.publish(InternalEvent::on_topic("t", Element::local("b")));
-        let got = b.drain();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload_element().name.local, "a");
-        assert_eq!(got[1].topic.as_ref().unwrap().to_string(), "t");
-        assert!(b.drain().is_empty());
+        let ev = InternalEvent::on_topic("t", Element::local("b"));
+        assert_eq!(b.relay(ev.clone()), vec![ev]);
         assert_eq!(b.name(), "in-memory");
     }
 
@@ -162,12 +157,10 @@ mod tests {
             .with_origin(crate::detect::SpecDialect::Wsn(
                 wsm_notification::WsnVersion::V1_3,
             ));
-        b.publish(ev.clone());
-        // The event really sits in the JMS provider.
+        // The event really passes through the JMS provider's relay
+        // subscription.
         assert_eq!(provider.subscriber_count("wsm.relay"), 1);
-        let got = b.drain();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], ev);
+        assert_eq!(b.relay(ev.clone()), vec![ev]);
         assert_eq!(b.name(), "jms");
     }
 
@@ -176,7 +169,9 @@ mod tests {
         let b = JmsBackend::new(JmsProvider::new(), "t");
         let payload =
             wsm_xml::parse(r#"<e:alert xmlns:e="urn:wx" sev="4">h &amp; m</e:alert>"#).unwrap();
-        b.publish(InternalEvent::raw(payload.clone()));
-        assert_eq!(b.drain()[0].payload_element(), &payload);
+        assert_eq!(
+            b.relay(InternalEvent::raw(payload.clone()))[0].payload_element(),
+            &payload
+        );
     }
 }

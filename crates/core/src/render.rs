@@ -39,6 +39,13 @@ pub const WSM_NS: &str = "urn:ws-messenger:broker";
 ///   the consumer EPR's echoed reference data, and — for wrapped WSN —
 ///   the `SubscriptionReference` inside the `NotificationMessage`.
 ///
+/// Each class is also measured once: its serialized length with
+/// one-character placeholders in the patched texts. A rendered
+/// envelope's exact length is then that figure plus the escaped
+/// lengths of its own texts, and the envelope carries it (see
+/// [`Envelope::memoize_xml_len`]) so the transport's byte accounting
+/// does not serialize every delivery again.
+///
 /// The cache is `Sync`, so the parallel fan-out workers can render
 /// against it concurrently.
 pub struct RenderCache {
@@ -63,7 +70,15 @@ struct ClassTemplate {
     /// result spliced into the `NotificationMessage` — replacing a
     /// per-subscriber EPR construction and serialization.
     sub_ref: Option<Element>,
+    /// Compact length of `proto` patched with [`PLACEHOLDER`] as the
+    /// `wsa:To` text and, for wrapped WSN, the subscription id, and no
+    /// echoed reference data.
+    len: usize,
 }
+
+/// The one-character text a class is measured with in each patched
+/// slot.
+const PLACEHOLDER: &str = "x";
 
 impl RenderCache {
     /// A cache for one publication of `event`.
@@ -101,7 +116,7 @@ impl RenderCache {
             .entry((spec, use_raw))
             .or_insert_with(|| {
                 let placeholder = EndpointReference::new("");
-                match spec {
+                let mut template = match spec {
                     SpecDialect::Wse(v) => {
                         let mut proto =
                             WseCodec::new(v).notification_shared(&placeholder, &self.payload);
@@ -115,6 +130,7 @@ impl RenderCache {
                             proto,
                             echo_at,
                             sub_ref: None,
+                            len: 0,
                         }
                     }
                     SpecDialect::Wsn(v) if use_raw => {
@@ -125,6 +141,7 @@ impl RenderCache {
                             proto,
                             echo_at,
                             sub_ref: None,
+                            len: 0,
                         }
                     }
                     SpecDialect::Wsn(v) => {
@@ -143,9 +160,18 @@ impl RenderCache {
                             proto,
                             echo_at,
                             sub_ref: Some(subscription_reference_proto(v, manager_uri)),
+                            len: 0,
                         }
                     }
-                }
+                };
+                template.len = patch(
+                    template.clone(),
+                    PLACEHOLDER,
+                    PLACEHOLDER,
+                    std::iter::empty(),
+                )
+                .xml_len();
+                template
             })
             .clone()
     }
@@ -199,6 +225,10 @@ fn subscription_reference_proto(v: wsm_notification::WsnVersion, manager_uri: &s
 /// the prototype `SubscriptionReference` — instead of rebuilding the
 /// tree, so the per-subscriber cost no longer scales with envelope
 /// size.
+///
+/// The envelope carries its exact serialized length, derived from the
+/// class's measured length, unless the consumer EPR has reference data
+/// to echo; those few envelopes are measured when sent.
 pub fn render_notification_cached(
     cache: &RenderCache,
     sub: &BrokerSubscription,
@@ -207,15 +237,42 @@ pub fn render_notification_cached(
     manager_uri: &str,
 ) -> Envelope {
     let t = cache.template(event, broker_uri, manager_uri, sub.spec, sub.use_raw);
+    let escaped_len = |text: &str| wsm_xml::escape::escape_text(text).len();
+    let mut len = t.len + escaped_len(&sub.consumer.address) - PLACEHOLDER.len();
+    if t.sub_ref.is_some() {
+        len = len + escaped_len(&sub.id) - PLACEHOLDER.len();
+    }
+    let echoes = sub.consumer.all_reference_data().next().is_some();
+    let mut env = patch(
+        t,
+        &sub.consumer.address,
+        &sub.id,
+        sub.consumer.all_reference_data(),
+    );
+    if !echoes {
+        env.memoize_xml_len(len);
+    }
+    env
+}
+
+/// A class prototype addressed to one subscriber: `address` as the
+/// `wsa:To` text, `echo` as the echoed reference data, and for wrapped
+/// WSN `id` as the subscription id.
+fn patch<'a>(
+    t: ClassTemplate,
+    address: &str,
+    id: &str,
+    echo: impl Iterator<Item = &'a Element>,
+) -> Envelope {
     let mut env = t.proto;
     // Patch wsa:To — always the first header the MAPs applied.
     if let Some(to) = env.header_at_mut(0) {
         to.children.clear();
-        to.push_text(sub.consumer.address.clone());
+        to.push_text(address);
     }
     // Echo the consumer EPR's reference data after the MAPs, before any
     // extension headers (the WSE topic header), as the plain path does.
-    for (at, item) in (t.echo_at..).zip(sub.consumer.all_reference_data()) {
+    for (at, item) in (t.echo_at..).zip(echo) {
         env.insert_header(at, item.clone());
     }
     if let Some(proto) = t.sub_ref {
@@ -228,7 +285,7 @@ pub fn render_notification_cached(
             .and_then(Node::as_element_mut)
             .and_then(|c| c.children.get_mut(0).and_then(Node::as_element_mut))
         {
-            id_el.push_text(sub.id.clone());
+            id_el.push_text(id);
         }
         // Notify > NotificationMessage: the reference is its first
         // child, exactly where `notify_envelope` places it.
@@ -476,5 +533,71 @@ mod tests {
             parsed[0].producer.as_ref().unwrap().address,
             "http://origin"
         );
+    }
+}
+
+#[cfg(test)]
+mod memo_props {
+    use super::*;
+    use crate::registry::{BrokerDeliveryMode, UnifiedFilters};
+    use proptest::prelude::*;
+    use wsm_addressing::WsaVersion;
+
+    /// Plain characters, the three the XML writer escapes in text, a
+    /// quote and a multi-byte one.
+    const ALPHABET: &[char] = &['a', 'Z', '0', '/', ':', '&', '<', '>', '"', '\'', 'é'];
+
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..ALPHABET.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Whatever the dialect, delivery shape, topic, address, id,
+        /// payload and reference data, a cached render's `xml_len` is
+        /// the length of its full serialization (`to_xml` never reads
+        /// the memo).
+        #[test]
+        fn memoized_length_equals_full_serialization(
+            shape in (0..SpecDialect::ALL.len(), any::<bool>(), any::<bool>()),
+            address in text(),
+            id in text(),
+            params in prop::collection::vec(text(), 0..3),
+            payload in text(),
+        ) {
+            let (dialect, use_raw, topic) = shape;
+            let spec = SpecDialect::ALL[dialect];
+            let mut consumer = EndpointReference::new(format!("http://c/{address}"));
+            for (i, p) in params.iter().enumerate() {
+                let wsa = if i % 2 == 0 { WsaVersion::V200303 } else { WsaVersion::V200508 };
+                consumer = consumer
+                    .with_reference(wsa, Element::ns("urn:app", "Key", "app").with_text(p.clone()));
+            }
+            let sub = BrokerSubscription {
+                id: id.clone(),
+                spec,
+                consumer,
+                end_to: None,
+                filters: UnifiedFilters::default(),
+                mode: BrokerDeliveryMode::Push,
+                use_raw,
+            };
+            let body = Element::local("alert").with_text(payload.clone());
+            let event = if topic {
+                InternalEvent::on_topic("storms/hail", body)
+            } else {
+                InternalEvent::raw(body)
+            };
+            let cache = RenderCache::new(&event);
+            // Render twice: the first builds and measures the class, the
+            // second takes the cached template.
+            for _ in 0..2 {
+                let env =
+                    render_notification_cached(&cache, &sub, &event, "http://b", "http://b/subs");
+                prop_assert_eq!(env.xml_len(), env.to_xml().len(), "{:?} raw={}", spec, use_raw);
+            }
+        }
     }
 }

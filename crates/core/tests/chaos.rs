@@ -124,6 +124,11 @@ fn mixed_chaos_run(seed: u64) -> (String, MediationStats) {
     broker.drain_redeliveries(600_000);
     assert_eq!(flappy.received().len(), 60);
     assert_eq!(lossy.received().len(), 60);
+    assert_eq!(
+        net.trace_evicted(),
+        0,
+        "the exported trace must hold every delivery attempt"
+    );
     (net.trace_jsonl(), broker.stats())
 }
 

@@ -568,3 +568,79 @@ fn parallel_fanout_trace_attributes_workers_and_outcomes() {
         5
     );
 }
+
+/// Byte accounting stays exact across a mixed-dialect fan-out: every
+/// WS-Eventing version, raw and wrapped WS-Notification in both
+/// versions, a consumer address that needs escaping and a consumer
+/// with reference parameters. `net_bytes_total` and the trace's byte
+/// counts both equal the sum of the delivered envelopes' full
+/// serializations.
+#[cfg(feature = "obs")]
+#[test]
+fn fanout_byte_accounting_equals_full_serializations() {
+    use wsm_addressing::{EndpointReference, WsaVersion};
+    use wsm_notification::{WsnClient, WsnFilter, WsnSubscribeRequest};
+
+    #[derive(Default)]
+    struct Measure {
+        bytes: parking_lot::Mutex<usize>,
+    }
+    impl SoapHandler for Measure {
+        fn handle(&self, request: Envelope) -> Result<Option<Envelope>, wsm_soap::Fault> {
+            *self.bytes.lock() += request.to_xml().len();
+            Ok(None)
+        }
+    }
+
+    let net = Network::new();
+    let broker = WsMessenger::start(&net, "http://broker");
+    let measure = Arc::new(Measure::default());
+    let consumer = |address: &str| {
+        net.register(address, measure.clone());
+        EndpointReference::new(address)
+    };
+    for (i, v) in [WseVersion::Jan2004, WseVersion::Aug2004]
+        .into_iter()
+        .enumerate()
+    {
+        Subscriber::new(&net, v)
+            .subscribe(
+                broker.uri(),
+                SubscribeRequest::push(consumer(&format!("http://wse-{i}?a=1&b=<2>"))),
+            )
+            .unwrap();
+    }
+    let keyed = consumer("http://wse-keyed").with_reference(
+        WsaVersion::V200408,
+        Element::ns("urn:app", "Key", "app").with_text("k & v"),
+    );
+    Subscriber::new(&net, WseVersion::Aug2004)
+        .subscribe(broker.uri(), SubscribeRequest::push(keyed))
+        .unwrap();
+    for (i, v) in [WsnVersion::V1_0, WsnVersion::V1_3].into_iter().enumerate() {
+        for raw in [false, true] {
+            let mut req = WsnSubscribeRequest::new(consumer(&format!("http://wsn-{i}-{raw}&\"")))
+                .with_filter(WsnFilter::topic("storms"));
+            if raw {
+                req = req.raw();
+            }
+            WsnClient::new(&net, v)
+                .subscribe(broker.uri(), &req)
+                .unwrap();
+        }
+    }
+
+    net.drain_trace();
+    let bytes_total = net.metrics().counter("net_bytes_total");
+    let before = bytes_total.get();
+    for i in 0..3 {
+        let payload = Element::local("alert").with_text(format!("hail & <wind> {i}"));
+        assert_eq!(broker.publish_on("storms", &payload), 7);
+        assert_eq!(broker.publish_raw(&payload), 3);
+    }
+    let serialized = *measure.bytes.lock() as u64;
+    assert!(serialized > 0);
+    assert_eq!(bytes_total.get() - before, serialized);
+    let traced: usize = net.drain_trace().iter().map(|r| r.bytes).sum();
+    assert_eq!(traced as u64, serialized);
+}

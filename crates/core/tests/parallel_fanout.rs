@@ -3,9 +3,11 @@
 //! deliveries, duplicate none, keep each publisher's events in order at
 //! every subscriber, and keep `MediationStats` exact.
 
+use std::sync::{Arc, Barrier};
 use std::thread;
 use wsm_eventing::{EventSink, Expires, SubscribeRequest, Subscriber, WseVersion};
-use wsm_messenger::WsMessenger;
+use wsm_jms::JmsProvider;
+use wsm_messenger::{InMemoryBackend, JmsBackend, MessagingBackend, WsMessenger};
 use wsm_notification::{
     NotificationConsumer, WsnClient, WsnFilter, WsnSubscribeRequest, WsnVersion,
 };
@@ -212,4 +214,65 @@ fn sequential_and_parallel_fanout_agree() {
     let (par_stats, par_received) = run(8);
     assert_eq!(seq_stats, par_stats);
     assert_eq!(seq_received, par_received);
+}
+
+/// Concurrent publishers over each backend: every publisher's events
+/// reach every consumer in that publisher's order, and each `publish`
+/// returns the deliveries of its own event — never of an event another
+/// publisher relayed.
+#[test]
+fn concurrent_publishers_fan_out_their_own_events_over_every_backend() {
+    let backends: Vec<(&str, Arc<dyn MessagingBackend>)> = vec![
+        ("in-memory", Arc::new(InMemoryBackend::new())),
+        (
+            "jms",
+            Arc::new(JmsBackend::new(JmsProvider::new(), "relay")),
+        ),
+    ];
+    for (name, backend) in backends {
+        let net = Network::new();
+        let broker = WsMessenger::start_with_backend(&net, "http://broker", backend);
+        let sinks: Vec<EventSink> = (0..6)
+            .map(|i| {
+                let sink = EventSink::start(
+                    &net,
+                    format!("http://sink-{i}").as_str(),
+                    WseVersion::Aug2004,
+                );
+                Subscriber::new(&net, WseVersion::Aug2004)
+                    .subscribe(broker.uri(), SubscribeRequest::push(sink.epr()))
+                    .unwrap();
+                sink
+            })
+            .collect();
+        let start = Arc::new(Barrier::new(PUBLISHERS));
+        let publishers: Vec<_> = (0..PUBLISHERS)
+            .map(|t| {
+                let broker = broker.clone();
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    (0..EVENTS_PER_PUBLISHER)
+                        .map(|n| broker.publish_on("storms", &event(t, n)))
+                        .collect::<Vec<usize>>()
+                })
+            })
+            .collect();
+        for p in publishers {
+            let returned = p.join().unwrap();
+            assert!(
+                returned.iter().all(|&d| d == sinks.len()),
+                "{name}: a publish returned another event's deliveries: {returned:?}"
+            );
+        }
+        for (i, sink) in sinks.iter().enumerate() {
+            let got = sink.received();
+            assert_eq!(
+                got.len(),
+                PUBLISHERS * EVENTS_PER_PUBLISHER,
+                "{name} sink {i}"
+            );
+            assert_publisher_order(&got, &format!("{name} sink {i}"));
+        }
+    }
 }

@@ -96,11 +96,25 @@ impl From<XmlError> for SoapError {
 /// the headers stay individually addressed. Node equality treats
 /// shared and plain subtrees identically, so this is invisible to
 /// comparisons and round-trips.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A renderer that knows the exact serialized length can attach it
+/// ([`Envelope::memoize_xml_len`]) so [`Envelope::xml_len`] need not
+/// serialize. Every mutable accessor drops the memo, and equality
+/// ignores it.
+#[derive(Debug, Clone)]
 pub struct Envelope {
     version: SoapVersion,
     headers: Vec<Element>,
     body: Vec<Node>,
+    /// The exact compact-serialization length, when a renderer
+    /// attached it.
+    xml_len: Option<usize>,
+}
+
+impl PartialEq for Envelope {
+    fn eq(&self, other: &Self) -> bool {
+        self.version == other.version && self.headers == other.headers && self.body == other.body
+    }
 }
 
 impl Envelope {
@@ -110,6 +124,7 @@ impl Envelope {
             version,
             headers: Vec::new(),
             body: Vec::new(),
+            xml_len: None,
         }
     }
 
@@ -120,6 +135,7 @@ impl Envelope {
 
     /// Append a header block.
     pub fn add_header(&mut self, header: Element) {
+        self.xml_len = None;
         self.headers.push(header);
     }
 
@@ -140,16 +156,19 @@ impl Envelope {
     ///
     /// Panics if `index > self.headers().len()`.
     pub fn insert_header(&mut self, index: usize, header: Element) {
+        self.xml_len = None;
         self.headers.insert(index, header);
     }
 
     /// Mutable access to the header block at `index`, if any.
     pub fn header_at_mut(&mut self, index: usize) -> Option<&mut Element> {
+        self.xml_len = None;
         self.headers.get_mut(index)
     }
 
     /// Mutable access to the first body element (the usual case).
     pub fn body_first_mut(&mut self) -> Option<&mut Element> {
+        self.xml_len = None;
         self.body.iter_mut().find_map(|n| match n {
             Node::Element(e) => Some(e),
             _ => None,
@@ -158,6 +177,7 @@ impl Envelope {
 
     /// Replace the body content with a single element.
     pub fn set_body(&mut self, body: Element) {
+        self.xml_len = None;
         self.body = vec![Node::Element(body)];
     }
 
@@ -170,6 +190,7 @@ impl Envelope {
     /// Replace the body content with a shared subtree whose
     /// serialization is cached across every envelope that embeds it.
     pub fn set_shared_body(&mut self, body: Arc<SharedElement>) {
+        self.xml_len = None;
         self.body = vec![Node::Shared(body)];
     }
 
@@ -257,10 +278,26 @@ impl Envelope {
         hint
     }
 
-    /// Byte length of the compact serialization, computed in a pooled
-    /// buffer so callers that only need the size (delivery accounting,
-    /// content-length headers) allocate nothing in steady state.
+    /// Byte length of the compact serialization: the memoized length
+    /// when a renderer attached one ([`Envelope::memoize_xml_len`]),
+    /// else computed in a pooled buffer so callers that only need the
+    /// size (delivery accounting, content-length headers) allocate
+    /// nothing in steady state.
     pub fn xml_len(&self) -> usize {
+        self.xml_len.unwrap_or_else(|| self.measure_xml_len())
+    }
+
+    /// Attach the exact byte length of this envelope's compact
+    /// serialization, which a renderer patching a measured prototype
+    /// can know without serializing. [`Envelope::xml_len`] returns it
+    /// until the next mutable access. Debug builds check it against a
+    /// full serialization.
+    pub fn memoize_xml_len(&mut self, len: usize) {
+        debug_assert_eq!(len, self.measure_xml_len(), "memoized length is exact");
+        self.xml_len = Some(len);
+    }
+
+    fn measure_xml_len(&self) -> usize {
         wsm_xml::with_buffer(self.xml_size_hint(), |buf| {
             self.write_xml_into(buf);
             buf.len()
@@ -317,6 +354,7 @@ impl Envelope {
             version,
             headers,
             body,
+            xml_len: None,
         })
     }
 }
@@ -426,6 +464,45 @@ mod tests {
         assert_eq!(shared_env.to_xml(), plain_env.to_xml());
         assert_eq!(Envelope::from_xml(&shared_env.to_xml()).unwrap(), plain_env);
         assert_eq!(shared_env.body().unwrap().name.local, "ev");
+    }
+
+    #[test]
+    fn memoized_len_is_returned_ignored_by_eq_and_cleared_by_every_mut_accessor() {
+        let build = || {
+            Envelope::new(SoapVersion::V12)
+                .with_header(Element::ns("urn:h", "To", "h").with_text("a"))
+                .with_body(Element::ns("urn:b", "B", "b").with_text("bv"))
+        };
+        let memoized = || {
+            let mut env = build();
+            let len = env.to_xml().len();
+            env.memoize_xml_len(len);
+            assert_eq!(env.xml_len, Some(len));
+            assert_eq!(env.xml_len(), len);
+            env
+        };
+        assert_eq!(memoized(), build(), "equality ignores the memo");
+        type Access = fn(&mut Envelope);
+        let accessors: [(&str, Access); 6] = [
+            ("add_header", |e| e.add_header(Element::local("x"))),
+            ("insert_header", |e| e.insert_header(0, Element::local("x"))),
+            ("header_at_mut", |e| {
+                e.header_at_mut(0);
+            }),
+            ("body_first_mut", |e| {
+                e.body_first_mut();
+            }),
+            ("set_body", |e| e.set_body(Element::local("x"))),
+            ("set_shared_body", |e| {
+                e.set_shared_body(SharedElement::new(Element::local("x")))
+            }),
+        ];
+        for (name, access) in accessors {
+            let mut env = memoized();
+            access(&mut env);
+            assert_eq!(env.xml_len, None, "{name} clears the memo");
+            assert_eq!(env.xml_len(), env.to_xml().len(), "{name}");
+        }
     }
 
     #[test]

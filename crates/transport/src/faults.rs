@@ -171,7 +171,7 @@ pub struct Injected {
 }
 
 impl Injected {
-    const CLEAN: Injected = Injected {
+    pub(crate) const CLEAN: Injected = Injected {
         extra_latency_ms: 0,
         action: Injection::Deliver,
     };

@@ -19,8 +19,9 @@
 //!   flapping down-windows, latency spikes) and a fixed per-hop
 //!   simulated latency, driving a **virtual clock** that subscription
 //!   expiration and fault schedules are measured against;
-//! * a **trace** of every delivery attempt, which the benches and the
-//!   EXPERIMENTS harness read back.
+//! * a **trace** of the most recent delivery attempts (a bounded ring,
+//!   with exact per-outcome counts over every attempt), which the
+//!   benches and the EXPERIMENTS harness read back.
 //!
 //! ```
 //! use wsm_transport::{Network, SoapHandler};

@@ -1,13 +1,13 @@
 //! The endpoint registry and delivery engine.
 
 use crate::clock::SimClock;
-use crate::faults::{FaultPlan, Injection};
+use crate::faults::{FaultPlan, Injected, Injection};
 use crate::obs::{NetObs, NetTimer};
-use crate::trace::{DeliveryOutcome, TraceRecord};
+use crate::trace::{DeliveryOutcome, TraceLog, TraceRecord};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use wsm_soap::{Envelope, Fault};
@@ -82,7 +82,11 @@ struct Inner {
     /// consecutive sends to one endpoint skip the registry lock.
     endpoint_epoch: AtomicU64,
     faults: Mutex<FaultPlan>,
-    trace: Mutex<Vec<TraceRecord>>,
+    /// Set once any endpoint has a fault spec; until then a send skips
+    /// the fault-plan lock. Stored (Release) after the plan is changed
+    /// under its lock and loaded (Acquire) before a send takes it.
+    faults_armed: AtomicBool,
+    trace: Mutex<TraceLog>,
     clock: SimClock,
     /// Simulated per-hop latency added to the clock on every delivery.
     /// An atomic, not a mutex: every delivery reads it, and a lock
@@ -114,7 +118,8 @@ impl Network {
             endpoints: RwLock::new(HashMap::new()),
             endpoint_epoch: AtomicU64::new(0),
             faults: Mutex::new(FaultPlan::default()),
-            trace: Mutex::new(Vec::new()),
+            faults_armed: AtomicBool::new(false),
+            trace: Mutex::new(TraceLog::default()),
             clock: SimClock::new(),
             latency_ms: AtomicU64::new(0),
             send_delay_us: AtomicU64::new(0),
@@ -207,40 +212,52 @@ impl Network {
 
     /// Drop the next `n` deliveries addressed to `uri`.
     pub fn drop_next(&self, uri: impl Into<String>, n: u32) {
-        self.0.faults.lock().endpoint_mut(uri).drop_next = n;
+        self.edit_faults(|plan| plan.endpoint_mut(uri).drop_next = n);
     }
 
     /// Answer the next `n` deliveries to `uri` with an injected SOAP
     /// fault — a *poison* response, as opposed to transient loss.
     pub fn fault_next(&self, uri: impl Into<String>, n: u32) {
-        self.0.faults.lock().endpoint_mut(uri).fault_next = n;
+        self.edit_faults(|plan| plan.endpoint_mut(uri).fault_next = n);
     }
 
     /// Add `n` latency spikes of `ms` extra virtual milliseconds to the
     /// upcoming deliveries addressed to `uri`.
     pub fn latency_spike_next(&self, uri: impl Into<String>, ms: u64, n: usize) {
-        self.0
-            .faults
-            .lock()
-            .endpoint_mut(uri)
-            .latency_spikes_ms
-            .extend(std::iter::repeat_n(ms, n));
+        self.edit_faults(|plan| {
+            plan.endpoint_mut(uri)
+                .latency_spikes_ms
+                .extend(std::iter::repeat_n(ms, n))
+        });
     }
 
     /// Make `uri` flap: unreachable for `down_ms` out of every
     /// `period_ms` of virtual time.
     pub fn set_flapping(&self, uri: impl Into<String>, period_ms: u64, down_ms: u64) {
-        self.0.faults.lock().endpoint_mut(uri).flap = Some(crate::faults::Flap {
-            period_ms,
-            down_ms,
-            phase_ms: 0,
+        self.edit_faults(|plan| {
+            plan.endpoint_mut(uri).flap = Some(crate::faults::Flap {
+                period_ms,
+                down_ms,
+                phase_ms: 0,
+            })
         });
     }
 
     /// Install a whole [`FaultPlan`], replacing any existing faults
     /// (including pending `drop_next` budgets).
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        *self.0.faults.lock() = plan;
+        let mut faults = self.0.faults.lock();
+        let armed = !plan.is_empty();
+        *faults = plan;
+        self.0.faults_armed.store(armed, Ordering::Release);
+    }
+
+    /// Change the fault plan through `edit`, which gives some endpoint
+    /// a spec, and arm the per-send fault check.
+    fn edit_faults(&self, edit: impl FnOnce(&mut FaultPlan)) {
+        let mut faults = self.0.faults.lock();
+        edit(&mut faults);
+        self.0.faults_armed.store(true, Ordering::Release);
     }
 
     /// One-way send (fire-and-forget notification delivery), counted
@@ -296,17 +313,25 @@ impl Network {
     ) -> Result<Option<Envelope>, TransportError> {
         let timer = self.0.obs.start();
         // Consult the fault plan before the hop: it decides this
-        // delivery's fate and any extra injected latency.
-        let injected = self.0.faults.lock().on_delivery(to, self.0.clock.now_ms());
+        // delivery's fate and any extra injected latency. A network no
+        // fault was ever configured on skips the plan and its lock.
+        let injected = if self.0.faults_armed.load(Ordering::Acquire) {
+            self.0.faults.lock().on_delivery(to, self.0.clock.now_ms())
+        } else {
+            Injected::CLEAN
+        };
         let latency = self.0.latency_ms.load(Ordering::Relaxed) + injected.extra_latency_ms;
-        self.0.clock.advance_ms(latency);
+        if latency > 0 {
+            self.0.clock.advance_ms(latency);
+        }
         let delay = self.0.send_delay_us.load(Ordering::Relaxed);
         if delay > 0 {
             std::thread::sleep(Duration::from_micros(delay));
         }
         let label = label_of(&envelope);
-        // Size accounting only needs the length; a pooled buffer keeps
-        // this off the allocator on every send.
+        // Size accounting only needs the length: an envelope from the
+        // broker's renderer carries it, anything else is measured in a
+        // pooled buffer.
         let bytes = envelope.xml_len();
 
         match injected.action {
@@ -315,7 +340,7 @@ impl Network {
                 self.record(
                     timer,
                     to,
-                    &label,
+                    label,
                     bytes,
                     two_way,
                     class,
@@ -328,7 +353,7 @@ impl Network {
                 self.record(
                     timer,
                     to,
-                    &label,
+                    label,
                     bytes,
                     two_way,
                     class,
@@ -348,7 +373,7 @@ impl Network {
                 self.record(
                     timer,
                     to,
-                    &label,
+                    label,
                     bytes,
                     two_way,
                     class,
@@ -361,7 +386,7 @@ impl Network {
             self.record(
                 timer,
                 to,
-                &label,
+                label,
                 bytes,
                 two_way,
                 class,
@@ -375,7 +400,7 @@ impl Network {
                 self.record(
                     timer,
                     to,
-                    &label,
+                    label,
                     bytes,
                     two_way,
                     class,
@@ -387,7 +412,7 @@ impl Network {
                 self.record(
                     timer,
                     to,
-                    &label,
+                    label,
                     bytes,
                     two_way,
                     class,
@@ -403,17 +428,17 @@ impl Network {
         &self,
         timer: NetTimer,
         to: &str,
-        label: &str,
+        label: String,
         bytes: usize,
         two_way: bool,
         class: AttemptClass,
         outcome: DeliveryOutcome,
     ) {
         self.0.obs.observe(timer, &outcome, bytes, class);
-        self.0.trace.lock().push(TraceRecord {
+        let record = TraceRecord {
             time_ms: self.0.clock.now_ms(),
             to: to.to_string(),
-            label: label.to_string(),
+            label,
             bytes,
             two_way,
             outcome,
@@ -421,24 +446,38 @@ impl Network {
                 .name()
                 .unwrap_or("(unnamed)")
                 .to_string(),
-        });
+        };
+        if self.0.trace.lock().push(record) {
+            self.0.obs.trace_evicted();
+        }
     }
 
-    /// Snapshot of the delivery trace.
+    /// Snapshot of the delivery trace: the most recent
+    /// [`TRACE_CAPACITY`](crate::trace::TRACE_CAPACITY) records, oldest
+    /// first.
     pub fn trace(&self) -> Vec<TraceRecord> {
-        self.0.trace.lock().clone()
+        self.0.trace.lock().records().iter().cloned().collect()
     }
 
-    /// Take the delivery trace, leaving it empty — the cheap way for
-    /// tests to assert exactly the records one scenario produced,
-    /// including per-worker records from the parallel fan-out path.
+    /// Take the delivery trace, leaving it empty and resetting the
+    /// outcome counts — the cheap way for tests to assert exactly the
+    /// records one scenario produced, including per-worker records from
+    /// the parallel fan-out path.
     pub fn drain_trace(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.0.trace.lock())
+        self.0.trace.lock().take()
     }
 
-    /// Clear the trace (benches do this between runs).
+    /// Clear the trace and reset the outcome counts (benches do this
+    /// between runs).
     pub fn clear_trace(&self) {
-        self.0.trace.lock().clear();
+        self.0.trace.lock().take();
+    }
+
+    /// Records evicted from the bounded trace since it was last drained
+    /// or cleared. Zero means [`trace`](Self::trace) and
+    /// [`trace_jsonl`](Self::trace_jsonl) hold every delivery attempt.
+    pub fn trace_evicted(&self) -> u64 {
+        self.0.trace.lock().evicted()
     }
 
     /// The delivery trace as JSONL, one record per line.
@@ -449,8 +488,8 @@ impl Network {
     /// job diffs this export across back-to-back runs.
     pub fn trace_jsonl(&self) -> String {
         let trace = self.0.trace.lock();
-        let mut out = String::with_capacity(trace.len() * 96);
-        for r in trace.iter() {
+        let mut out = String::with_capacity(trace.records().len() * 96);
+        for r in trace.records() {
             out.push_str(&r.to_json());
             out.push('\n');
         }
@@ -470,14 +509,14 @@ impl Network {
         wsm_obs::export::prometheus(self.0.obs.registry())
     }
 
-    /// Count trace records with the given outcome predicate.
+    /// Count delivery attempts since the trace was last drained or
+    /// cleared whose outcome satisfies `pred`.
+    ///
+    /// The count is exact and independent of the bounded trace ring:
+    /// it comes from per-outcome counters that cover evicted records
+    /// too.
     pub fn count_outcomes(&self, pred: impl Fn(&DeliveryOutcome) -> bool) -> usize {
-        self.0
-            .trace
-            .lock()
-            .iter()
-            .filter(|r| pred(&r.outcome))
-            .count()
+        self.0.trace.lock().count(pred)
     }
 }
 
@@ -827,6 +866,58 @@ mod tests {
         assert!(net.drain_trace().is_empty());
         // Every record carries the delivering thread's name.
         assert!(drained.iter().all(|r| !r.worker.is_empty()));
+    }
+
+    #[test]
+    fn trace_is_bounded_and_outcome_counts_stay_exact() {
+        use crate::trace::TRACE_CAPACITY;
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        net.register("http://g", Arc::new(Grumpy));
+        let _ = net.send("http://g", env());
+        for _ in 0..TRACE_CAPACITY + 4 {
+            net.send("http://a", env()).unwrap();
+        }
+        let trace = net.trace();
+        assert_eq!(trace.len(), TRACE_CAPACITY);
+        assert!(trace
+            .iter()
+            .all(|r| r.outcome == DeliveryOutcome::Delivered));
+        assert_eq!(net.trace_evicted(), 5);
+        // The evicted fault and deliveries are still counted.
+        assert_eq!(net.count_outcomes(|_| true), TRACE_CAPACITY + 5);
+        assert_eq!(
+            net.count_outcomes(|o| *o == DeliveryOutcome::Faulted("no thanks".into())),
+            1
+        );
+        assert_eq!(net.trace_jsonl().lines().count(), TRACE_CAPACITY);
+        #[cfg(feature = "obs")]
+        {
+            let text = net.metrics_text();
+            assert!(text.contains("# HELP net_trace_evicted_total "), "{text}");
+            assert!(text.contains("net_trace_evicted_total 5"), "{text}");
+        }
+        assert_eq!(net.drain_trace().len(), TRACE_CAPACITY);
+        assert_eq!(net.trace_evicted(), 0);
+        assert_eq!(net.count_outcomes(|_| true), 0, "drain resets the counts");
+    }
+
+    #[test]
+    fn installing_an_empty_fault_plan_clears_pending_faults() {
+        let net = Network::new();
+        net.register("http://a", Arc::new(Sink));
+        net.drop_next("http://a", 1);
+        net.set_fault_plan(FaultPlan::new());
+        net.send("http://a", env()).unwrap();
+        net.set_fault_plan(FaultPlan::new().with_endpoint(
+            "http://a",
+            crate::faults::EndpointFaults::new().with_drop_next(1),
+        ));
+        assert!(matches!(
+            net.send("http://a", env()),
+            Err(TransportError::Dropped(_))
+        ));
+        net.send("http://a", env()).unwrap();
     }
 
     #[cfg(feature = "obs")]

@@ -33,6 +33,7 @@ mod imp {
         no_endpoint: Arc<Counter>,
         refused: Arc<Counter>,
         faulted: Arc<Counter>,
+        trace_evicted: Arc<Counter>,
     }
 
     impl Default for NetObs {
@@ -56,6 +57,11 @@ mod imp {
             );
             registry.describe("net_bytes_total", "Serialized envelope bytes sent.");
             registry.describe("net_send_ns", "Wall-clock send latency, nanoseconds.");
+            registry.describe(
+                "net_trace_evicted_total",
+                "Delivery trace records evicted from the bounded trace ring \
+                 (outcome counts stay exact).",
+            );
             NetObs {
                 sends: registry.counter("net_sends_total"),
                 sends_first: registry.counter("net_sends_first_total"),
@@ -67,6 +73,7 @@ mod imp {
                 no_endpoint: registry.counter("net_outcome_no_endpoint_total"),
                 refused: registry.counter("net_outcome_refused_total"),
                 faulted: registry.counter("net_outcome_faulted_total"),
+                trace_evicted: registry.counter("net_trace_evicted_total"),
                 registry,
             }
         }
@@ -100,6 +107,11 @@ mod imp {
                 DeliveryOutcome::Refused => self.refused.inc(),
                 DeliveryOutcome::Faulted(_) => self.faulted.inc(),
             }
+        }
+
+        /// Count one record evicted from the delivery trace.
+        pub fn trace_evicted(&self) {
+            self.trace_evicted.inc();
         }
 
         /// The underlying registry (for exporters).
@@ -140,6 +152,10 @@ mod imp {
             _class: AttemptClass,
         ) {
         }
+
+        /// No-op.
+        #[inline(always)]
+        pub fn trace_evicted(&self) {}
     }
 }
 
